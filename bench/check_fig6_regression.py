@@ -3,7 +3,7 @@
 
 Usage:
     check_fig6_regression.py REFERENCE.json FRESH.json [--max-iter-regression R]
-                             [--wall-trend SNAP [SNAP ...]]
+                             [--wall-trend SNAP [SNAP ...]] [--exact-walk]
 
 Compares the LP-iteration totals of the two runs over the sweep points
 that were *fully proved in both* (optimality shown or infeasibility
@@ -16,6 +16,13 @@ changes answers is a bug, not an optimization.
 
 Exits nonzero when the fresh run needs more than (1 + R) times the
 reference iterations on the mutually proved points (default R = 0.10).
+
+--exact-walk additionally requires the fresh run to retrace the
+reference's solver walk exactly: per point, the same LP iterations,
+B&B nodes, refactorizations and eta updates, bit-equal objectives and
+the same proof outcomes. A change that only makes the solver's steps
+cheaper (storage, loop structure) must pass it; any change to a pivot
+or branching decision fails it.
 
 --wall-trend prints a report-only wall-clock table across historical
 snapshots (e.g. the PR 1 / PR 2 / PR 3 references) plus the fresh run:
@@ -65,6 +72,29 @@ def print_wall_trend(paths):
     print()
 
 
+EXACT_WALK_KEYS = ("lp_iterations_per_point", "nodes_per_point",
+                   "refactorizations_per_point", "eta_updates_per_point",
+                   "objectives", "proved")
+
+
+def check_exact_walk(ref, new):
+    """Exits nonzero unless the fresh run retraces the reference walk."""
+    for key in EXACT_WALK_KEYS:
+        if key not in ref or key not in new:
+            sys.exit(f"exact walk: {key} missing from "
+                     f"{'reference' if key not in ref else 'fresh run'}")
+        a, b = ref[key], new[key]
+        if len(a) != len(b):
+            sys.exit(f"exact walk: {key} has {len(b)} points, "
+                     f"reference {len(a)}")
+        for i, (x, y) in enumerate(zip(a, b)):
+            if x != y:
+                sys.exit(f"exact walk: {key}[{i}] = {y!r}, "
+                         f"reference {x!r}")
+    print(f"exact walk: {len(ref['proved'])} points identical "
+          f"({', '.join(EXACT_WALK_KEYS)})")
+
+
 def main():
     ap = argparse.ArgumentParser()
     ap.add_argument("reference")
@@ -78,6 +108,9 @@ def main():
                     help="extra snapshots for a report-only wall-clock "
                          "trend table (oldest first); the fresh run is "
                          "appended automatically")
+    ap.add_argument("--exact-walk", action="store_true",
+                    help="fail unless every per-point walk counter, "
+                         "objective and proof flag equals the reference")
     ap.add_argument("--max-fallback-share", type=float, default=None,
                     help="for a fresh run with reentry=dual: fail when "
                          "phase-1 fallbacks exceed this fraction of all "
@@ -130,6 +163,9 @@ def main():
                 share > args.max_fallback_share:
             sys.exit(f"phase-1 fallback share {share:.4f} exceeds "
                      f"--max-fallback-share {args.max_fallback_share}")
+
+    if args.exact_walk:
+        check_exact_walk(ref, new)
 
     ref_proved = ref["proved"]
     new_proved = new["proved"]

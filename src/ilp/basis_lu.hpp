@@ -4,7 +4,9 @@
 // columns of the working constraint matrix currently basic):
 //
 //   factorize   rebuild the factorization from the basis columns
-//   ftran       x = B^-1 a            (pivot directions, basic values)
+//   ftran       w = B^-1 a            (pivot directions), returned with
+//               its nonzero pattern (a SparseVector)
+//   ftran_dense x = B^-1 x in place   (basic values, batched flips)
 //   btran       y = B^-T c            (duals / pricing)
 //   btran_unit  rho = B^-T e_r        (row r of B^-1: the dual simplex
 //               pivot row and the steepest-edge row norms)
@@ -22,11 +24,17 @@
 //    vector instead of touching m^2 entries, and the factorization is
 //    rebuilt only when the eta file hits `max_eta` or a pivot is too
 //    unstable to absorb (update() returns false and the caller
-//    refactorizes). Solves cost O(nnz(L)+nnz(U)+nnz(etas)).
+//    refactorizes). L, U and the eta file are flat CSR arrays, and
+//    FTRAN is hypersparse: it visits only the pivot steps its
+//    right-hand side can reach and applies only the etas whose pivot
+//    entry is nonzero, so a pivot direction with a handful of nonzeros
+//    costs little more than a handful of operations, not O(m).
 //
 // The engines are numerically interchangeable; the randomized
 // differential harness (tests/test_lp_differential.cpp) pits them
-// against each other on thousands of generated LPs/MIPs.
+// against each other on thousands of generated LPs/MIPs, and pins the
+// LU engine's solves bit-for-bit to a dense-sweep reference
+// (tests/lu_reference.hpp).
 #pragma once
 
 #include <cstddef>
@@ -38,6 +46,27 @@ namespace wishbone::ilp {
 
 /// One working-form column: (constraint row, coefficient) pairs.
 using SparseColumn = std::vector<std::pair<int, double>>;
+
+/// A length-m vector held densely together with the positions that may
+/// be nonzero: `val` is exactly zero outside `idx`, and `idx` is
+/// increasing and duplicate-free (a superset of the true nonzeros —
+/// cancellation may leave listed zeros). Loops over `idx` therefore
+/// visit the nonzeros in the same order as a dense sweep would.
+struct SparseVector {
+  std::vector<double> val;
+  std::vector<int> idx;
+
+  /// Size m, all zero.
+  void reset(int m) {
+    val.assign(static_cast<std::size_t>(m), 0.0);
+    idx.clear();
+  }
+  /// All zero again, touching only the listed positions.
+  void clear() {
+    for (int i : idx) val[i] = 0.0;
+    idx.clear();
+  }
+};
 
 enum class BasisEngineKind {
   kAuto,   ///< resolve by row count: dense for small m, LU otherwise
@@ -85,8 +114,11 @@ class BasisEngine {
   [[nodiscard]] virtual bool factorize(const std::vector<SparseColumn>& cols,
                                        const std::vector<int>& basic) = 0;
 
-  /// out = B^-1 a for a sparse column `a`; out is assigned size m.
-  virtual void ftran(const SparseColumn& a, std::vector<double>& out) const = 0;
+  /// out = B^-1 a for a sparse column `a`. `out` is either empty or a
+  /// size-m SparseVector (its previous contents are cleared); on return
+  /// out.idx lists, in increasing order, every position that can be
+  /// nonzero.
+  virtual void ftran(const SparseColumn& a, SparseVector& out) const = 0;
 
   /// In-place x = B^-1 x for a dense right-hand side.
   virtual void ftran_dense(std::vector<double>& x) const = 0;
@@ -105,8 +137,7 @@ class BasisEngine {
   /// whose FTRAN image is `w` (the simplex pivot direction). Returns
   /// false when the engine declines — eta file full or the pivot too
   /// unstable — in which case the caller must refactorize() instead.
-  [[nodiscard]] virtual bool update(int leave_row,
-                                    const std::vector<double>& w) = 0;
+  [[nodiscard]] virtual bool update(int leave_row, const SparseVector& w) = 0;
 
   [[nodiscard]] const BasisEngineStats& stats() const { return stats_; }
 

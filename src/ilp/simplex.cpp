@@ -39,6 +39,10 @@ SimplexState::SimplexState(const LinearProgram& lp,
   b_.resize(m_, 0.0);
   reduced_costs_.assign(n_struct_, 0.0);
   y_scratch_.assign(m_, 0.0);
+  w_.reset(m_);
+  // Pricing scratch at its largest, so re-solves never grow it.
+  candidates_.reserve(opts_.candidate_list_size);
+  eligible_scratch_.reserve(n_total);
 
   for (int j = 0; j < n_struct_; ++j) {
     lo_[j] = lp.lower(j);
@@ -304,19 +308,23 @@ double SimplexState::phase1_cost(int var) const {
   return 0.0;
 }
 
-double SimplexState::total_infeasibility() const {
+bool SimplexState::primal_infeasible() const {
+  // Sums of non-negative terms never decrease under rounding, so the
+  // scan can stop as soon as the partial sum passes eps.
   double s = 0.0;
   for (int i = 0; i < m_; ++i) {
     const int v = basic_[i];
     s += std::max(0.0, x_[v] - up_[v]);
     s += std::max(0.0, lo_[v] - x_[v]);
+    if (s > opts_.eps) return true;
   }
-  return s;
+  return false;
 }
 
 void SimplexState::recompute_basic_values() {
   // xB = B^-1 * (b - sum over nonbasic j of A_j x_j)
-  std::vector<double> rhs = b_;
+  std::vector<double>& rhs = rhs_scratch_;
+  rhs = b_;
   const int n_total = n_struct_ + m_;
   for (int j = 0; j < n_total; ++j) {
     if (in_basis_[j] >= 0 || x_[j] == 0.0) continue;
@@ -328,7 +336,7 @@ void SimplexState::recompute_basic_values() {
 
 void SimplexState::compute_duals(bool phase1, std::vector<double>& y) const {
   // y^T = cB^T * B^-1 for the phase's cost vector (a BTRAN).
-  y.assign(m_, 0.0);
+  y.resize(m_);
   for (int i = 0; i < m_; ++i) {
     y[i] = phase1 ? phase1_cost(basic_[i]) : cost_[basic_[i]];
   }
@@ -392,7 +400,7 @@ LpSolution SimplexState::solve(double cutoff) {
   // afterwards as the numerical safety net and the optimality proof
   // (both are no-ops when the dual loop finished clean).
   if (opts_.reentry == ReentryKind::kDual &&
-      total_infeasibility() > opts_.eps) {
+      primal_infeasible()) {
     if (dual_feasible()) {
       ++tel_.dual_reentries;
       sol.dual_reentry = true;
@@ -449,12 +457,12 @@ LpSolution SimplexState::solve(double cutoff) {
       ++tel_.phase1_fallbacks;
     }
   }
-  if (total_infeasibility() > opts_.eps) ++tel_.phase1_reentries;
+  if (primal_infeasible()) ++tel_.phase1_reentries;
 
   // Phase 1: drive basic-variable bound violations to zero, starting
   // from whatever basis this state currently holds (warm re-entry after
   // bound edits, an inherited basis, or the cold crash basis).
-  while (total_infeasibility() > opts_.eps) {
+  while (primal_infeasible()) {
     const StepOutcome oc = iterate(/*phase1=*/true);
     if (oc == StepOutcome::kNoDirection) {
       sol.status = SolveStatus::kInfeasible;
@@ -580,9 +588,12 @@ SimplexState::StepOutcome SimplexState::iterate(bool phase1) {
   }
   if (enter == -1) return StepOutcome::kNoDirection;
 
-  // Direction through the basis: w = B^-1 * A_enter (an FTRAN).
-  std::vector<double>& w = w_scratch_;
-  engine_->ftran(cols_[enter], w);
+  // Direction through the basis: w = B^-1 * A_enter (an FTRAN). It is
+  // hypersparse — a few dozen nonzeros of m — so the ratio test, the
+  // step and the engine update below walk its pattern (increasing row
+  // order, as a dense sweep would) instead of all m rows.
+  engine_->ftran(cols_[enter], w_);
+  const std::vector<double>& w = w_.val;
 
   // Ratio test. The entering variable moves by t >= 0 in direction
   // enter_sigma; basic k changes at rate -enter_sigma * w[k].
@@ -595,7 +606,7 @@ SimplexState::StepOutcome SimplexState::iterate(bool phase1) {
     t_max = span;
     bound_flip = true;
   }
-  for (int k = 0; k < m_; ++k) {
+  for (int k : w_.idx) {
     const double delta = enter_sigma * w[k];  // rate of decrease of xB_k
     if (std::fabs(delta) < opts_.pivot_eps) continue;
     const int v = basic_[k];
@@ -645,9 +656,7 @@ SimplexState::StepOutcome SimplexState::iterate(bool phase1) {
 
   // Apply the step.
   x_[enter] += enter_sigma * t_max;
-  for (int k = 0; k < m_; ++k) {
-    x_[basic_[k]] -= enter_sigma * t_max * w[k];
-  }
+  for (int k : w_.idx) x_[basic_[k]] -= enter_sigma * t_max * w[k];
   if (bound_flip) {
     at_upper_[enter] = !at_upper_[enter];
     // Snap exactly onto the bound to stop drift.
@@ -687,7 +696,7 @@ SimplexState::StepOutcome SimplexState::iterate(bool phase1) {
   // fresh factorization of the *new* basis replaces the whole file.
   WB_ASSERT_MSG(std::fabs(w[leave_row]) > opts_.pivot_eps,
                 "degenerate pivot");
-  if (!engine_->update(leave_row, w)) {
+  if (!engine_->update(leave_row, w_)) {
     if (!refactorize()) {
       // The ratio test admitted this pivot, so the new basis is
       // singular only through accumulated floating-point damage. A
@@ -919,8 +928,8 @@ SimplexState::StepOutcome SimplexState::dual_iterate() {
   // disagreement means the factorization has drifted too far to trust
   // this pivot — rebuild it and let the caller fall back to phase-1
   // repair.
-  std::vector<double>& w = w_scratch_;
-  engine_->ftran(cols_[enter], w);
+  engine_->ftran(cols_[enter], w_);
+  const std::vector<double>& w = w_.val;
   const double alpha_q = w[leave_row];
   if (std::fabs(alpha_q) <= opts_.pivot_eps ||
       alpha_q * (dir * chosen.abar) <= 0.0) {
@@ -940,7 +949,7 @@ SimplexState::StepOutcome SimplexState::dual_iterate() {
   // lands exactly on its violated bound.
   const double t = (x_[leaving] - target) / alpha_q;
   x_[enter] += t;
-  for (int k = 0; k < m_; ++k) x_[basic_[k]] -= t * w[k];
+  for (int k : w_.idx) x_[basic_[k]] -= t * w[k];
   x_[leaving] = target;  // snap exactly to stop drift
   at_upper_[leaving] = (dir > 0.0);
   in_basis_[leaving] = -1;
@@ -957,7 +966,7 @@ SimplexState::StepOutcome SimplexState::dual_iterate() {
     pricing_->dual_update(leave_row, enter, alpha_q, w, empty_tau_);
   }
 
-  if (!engine_->update(leave_row, w)) {
+  if (!engine_->update(leave_row, w_)) {
     if (!refactorize()) {
       // Same contract as the primal loop: a post-pivot singular
       // factorization leaves only the cold reset as a coherent state.

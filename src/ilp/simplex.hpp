@@ -294,7 +294,9 @@ class SimplexState {
   };
 
   [[nodiscard]] double phase1_cost(int var) const;
-  [[nodiscard]] double total_infeasibility() const;
+  /// True when some basic variable violates a bound: the sum of bound
+  /// violations exceeds eps.
+  [[nodiscard]] bool primal_infeasible() const;
   void recompute_basic_values();
   void compute_duals(bool phase1, std::vector<double>& y) const;
   [[nodiscard]] double reduced_cost_of(int j, bool phase1,
@@ -338,11 +340,11 @@ class SimplexState {
   std::vector<int> candidates_;          ///< partial-pricing list
   mutable std::vector<double> reduced_costs_;  ///< lazy, per basis
   mutable std::vector<double> y_scratch_;      ///< dual scratch (size m)
-  std::vector<double> w_scratch_;        ///< pivot-direction scratch
+  SparseVector w_;                       ///< pivot direction B^-1 A_enter
   std::vector<std::pair<double, int>> eligible_scratch_;  ///< pricing
   std::vector<double> rho_scratch_;      ///< dual pivot row B^-T e_r
   std::vector<double> tau_scratch_;      ///< B^-1 rho (DSE update)
-  std::vector<double> rhs_scratch_;      ///< batched bound-flip rhs
+  std::vector<double> rhs_scratch_;      ///< basic-value / bound-flip rhs
   std::vector<DualCand> dual_cands_;     ///< dual ratio-test candidates
   std::vector<int> flip_scratch_;        ///< columns flipped this pivot
   std::vector<std::pair<int, double>> alpha_scratch_;  ///< devex alphas

@@ -61,7 +61,11 @@ void PartitionedExecutor::route(OperatorId from, Frame&& f) {
         stats_.cut_frames_lost += 1;
         continue;
       }
-      deliver(e.to, e.to_port, unmarshal(reassemble(packets)));
+      // Decode into pooled storage: deliver() releases the frame's
+      // buffer back to the pool, so it must have come from there.
+      std::vector<float> buf = pool_.acquire(0);
+      const Encoding enc = unmarshal_into(reassemble(packets), buf);
+      deliver(e.to, e.to_port, Frame(std::move(buf), enc));
     } else if (last) {
       // Local edge, sole remaining consumer: hand the frame over.
       deliver(e.to, e.to_port, std::move(f));

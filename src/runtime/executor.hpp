@@ -66,6 +66,13 @@ class PartitionedExecutor {
 
   [[nodiscard]] const ExecStats& stats() const { return stats_; }
 
+  /// Frame buffers parked in the executor's pool. Bounded once the
+  /// pipeline has warmed up: every buffer a traversal takes from the
+  /// pool goes back to it.
+  [[nodiscard]] std::size_t idle_buffers() const {
+    return pool_.idle_buffers();
+  }
+
  private:
   class Ctx;
 

@@ -52,6 +52,13 @@ std::vector<std::uint8_t> marshal(const Frame& f) {
 }
 
 Frame unmarshal(const std::vector<std::uint8_t>& bytes) {
+  std::vector<float> samples;
+  const Encoding enc = unmarshal_into(bytes, samples);
+  return Frame(std::move(samples), enc);
+}
+
+Encoding unmarshal_into(const std::vector<std::uint8_t>& bytes,
+                        std::vector<float>& samples) {
   WB_REQUIRE(bytes.size() >= 5, "unmarshal: truncated header");
   const std::uint32_t count = get_u32(bytes, 0);
   const auto enc_raw = bytes[4];
@@ -62,7 +69,7 @@ Frame unmarshal(const std::vector<std::uint8_t>& bytes) {
   const std::size_t value_bytes = static_cast<std::size_t>(enc);
   WB_REQUIRE(bytes.size() == 5 + static_cast<std::size_t>(count) * value_bytes,
              "unmarshal: payload size mismatch");
-  std::vector<float> samples(count);
+  samples.resize(count);
   if (enc == Encoding::kInt16) {
     for (std::uint32_t i = 0; i < count; ++i) {
       const std::size_t at = 5 + 2 * static_cast<std::size_t>(i);
@@ -78,7 +85,7 @@ Frame unmarshal(const std::vector<std::uint8_t>& bytes) {
       samples[i] = x;
     }
   }
-  return Frame(std::move(samples), enc);
+  return enc;
 }
 
 std::vector<std::vector<std::uint8_t>> packetize(

@@ -26,6 +26,12 @@ using graph::Frame;
 /// on malformed input (bad magic sizes, truncated payload).
 [[nodiscard]] Frame unmarshal(const std::vector<std::uint8_t>& bytes);
 
+/// unmarshal() into caller-supplied storage: resizes `samples` to the
+/// frame's length, fills it, and returns the wire encoding. Lets a
+/// caller decode into a recycled buffer instead of fresh storage.
+[[nodiscard]] Encoding unmarshal_into(const std::vector<std::uint8_t>& bytes,
+                                      std::vector<float>& samples);
+
 /// Splits a wire buffer into messages of at most `payload_bytes` each.
 [[nodiscard]] std::vector<std::vector<std::uint8_t>> packetize(
     const std::vector<std::uint8_t>& bytes, std::size_t payload_bytes);

@@ -8,12 +8,15 @@
 
 #include <cstddef>
 #include <map>
+#include <random>
 #include <vector>
 
 #include "apps/eeg.hpp"
 #include "apps/speech.hpp"
 #include "graph/frame.hpp"
 #include "graph/graph.hpp"
+#include "ilp/simplex.hpp"
+#include "lp_generators.hpp"
 #include "runtime/executor.hpp"
 #include "util/alloc_count.hpp"
 
@@ -77,6 +80,46 @@ TEST(AllocFree, SpeechSteadyStateMakesZeroAllocationsPerEvent) {
   ex.run(traces, 30);
 
   EXPECT_EQ(per_event_allocs(ex, traces, 20, 80), 0u);
+}
+
+// The LP solver's steady state: warm re-solves after bound edits —
+// branch and bound's node loop — allocate nothing but the solution
+// vector each optimal LpSolution hands back by value, even as the eta
+// file fills and the basis is refactorized again and again. The
+// workspaces sized by fill-in and eta nonzeros keep their high-water
+// mark; on this LP the first ~70 re-solves still raise it, so those
+// run as the warm-up.
+TEST(AllocFree, WarmLpResolvesAllocateOnlyTheirSolutionVectors) {
+  const ilp::LinearProgram lp =
+      ilp::testgen::gen_partition_shaped(7, /*integral=*/true, /*n=*/60);
+  ilp::SimplexOptions opts;
+  opts.engine = ilp::BasisEngineKind::kLu;
+  opts.refactor_interval = 8;  // refactorize many times in the sequence
+  ilp::SimplexState state(lp, opts);
+  ASSERT_EQ(state.solve().status, ilp::SolveStatus::kOptimal);
+
+  std::mt19937 rng(11);
+  std::size_t iterations = 0, optimal = 0;
+  const auto resolve_after_edit = [&] {
+    const int v = static_cast<int>(rng() % lp.num_variables());
+    const double side = static_cast<double>(rng() % 2);
+    state.set_bounds(v, side, side);  // branch: fix one indicator
+    const ilp::LpSolution r = state.solve();
+    iterations += r.iterations;
+    if (r.status == ilp::SolveStatus::kOptimal) ++optimal;
+    state.set_bounds(v, 0.0, 1.0);  // back to the parent
+  };
+  for (int s = 0; s < 100; ++s) resolve_after_edit();  // warm-up
+
+  iterations = optimal = 0;
+  const std::size_t refactor0 = state.basis_stats().refactorizations;
+  const std::uint64_t a0 = util::allocation_count();
+  for (int s = 0; s < 300; ++s) resolve_after_edit();
+  const std::uint64_t allocs = util::allocation_count() - a0;
+  EXPECT_GT(iterations, 300u);
+  EXPECT_GT(state.basis_stats().refactorizations, refactor0 + 10);
+  EXPECT_EQ(allocs, optimal) << "beyond one solution vector per optimal "
+                                "solve, the re-solves allocated";
 }
 
 /// Collecting sink output allocates (by design); streaming mode is the

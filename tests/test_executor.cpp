@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include "apps/eeg.hpp"
 #include "apps/speech.hpp"
 #include "runtime/executor.hpp"
 #include "test_helpers.hpp"
@@ -20,7 +21,42 @@ std::vector<Side> all_on(const graph::Graph& g, Side side) {
   return sides;
 }
 
+/// Idle buffers a long-lived executor gains over `events` further events
+/// once warmed up (negative: fewer idle than before).
+long pool_growth(graph::Graph& g, const std::vector<Side>& sides,
+                 const std::map<OperatorId, std::vector<Frame>>& traces,
+                 std::size_t events) {
+  PartitionedExecutor ex(g, sides);
+  ex.set_collect_sink_output(false);
+  (void)ex.run(traces, 30);  // warm-up: pipelines fill, pool populates
+  const auto before = static_cast<long>(ex.idle_buffers());
+  (void)ex.run(traces, events);
+  EXPECT_GT(ex.stats().cut_frames, 0u) << "assignment has no cut edge";
+  return static_cast<long>(ex.idle_buffers()) - before;
+}
+
 }  // namespace
+
+// Frames received over a cut edge are decoded into pooled storage, so
+// the pool gets back exactly what each traversal took from it: a
+// long-lived executor with a cut does not grow.
+TEST(Executor, CutEdgesKeepBufferPoolBounded) {
+  apps::EegConfig cfg;
+  cfg.channels = 3;
+  cfg.window_samples = 256;
+  apps::EegApp eeg = apps::build_eeg_app(cfg);
+  const auto eeg_traces = apps::eeg_traces(eeg, 200);
+  // Sources on the node, everything else on the server: every source
+  // output crosses the cut.
+  EXPECT_LE(pool_growth(eeg.g, all_on(eeg.g, Side::kServer), eeg_traces, 200),
+            0);
+
+  apps::SpeechApp speech = apps::build_speech_app();
+  const auto speech_traces = apps::speech_traces(speech, 200);
+  EXPECT_LE(pool_growth(speech.g, speech.assignment_for_cut(3), speech_traces,
+                        200),
+            0);
+}
 
 TEST(Executor, RunsTinyGraphEndToEnd) {
   wbtest::TinyApp t = wbtest::tiny_app();

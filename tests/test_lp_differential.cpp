@@ -2,7 +2,9 @@
 // Gauss-Jordan inverse (PR 1 reference) and the Markowitz LU + eta-file
 // engine must agree on status, objective, solution feasibility, and
 // bound-proof outcomes on thousands of generated LPs and MIPs — the
-// solver core's correctness oracle.
+// solver core's correctness oracle. The LU engine's individual solves
+// are further pinned bit for bit to a dense-sweep reference
+// implementation (lu_reference.hpp).
 //
 // Trial count: WISHBONE_DIFF_TRIALS sets the per-family instance count
 // (default 400, which CI runs: 5 LP families x 400 = 2000 instances
@@ -21,7 +23,9 @@
 // exists to produce them) remain.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <random>
 #include <string>
 
@@ -29,6 +33,7 @@
 #include "ilp/branch_and_bound.hpp"
 #include "ilp/simplex.hpp"
 #include "lp_generators.hpp"
+#include "lu_reference.hpp"
 
 using namespace wishbone::ilp;
 
@@ -369,6 +374,20 @@ TEST(LpDifferential, BasisSnapshotsPortAcrossEngines) {
 
 // ----------------------------------------- engine unit: drift triggers
 
+namespace {
+
+/// A pivot direction given densely, with every nonzero listed.
+SparseVector sparse_of(const std::vector<double>& v) {
+  SparseVector w;
+  w.val = v;
+  for (std::size_t i = 0; i < v.size(); ++i) {
+    if (v[i] != 0.0) w.idx.push_back(static_cast<int>(i));
+  }
+  return w;
+}
+
+}  // namespace
+
 TEST(BasisEngineUnit, LuUpdateDeclinesUnstablePivot) {
   // |w_r| tiny relative to max|w|: absorbing this pivot as an eta
   // would amplify error through every later solve — the engine must
@@ -378,7 +397,7 @@ TEST(BasisEngineUnit, LuUpdateDeclinesUnstablePivot) {
   std::vector<SparseColumn> cols = {
       {{0, 1.0}}, {{1, 1.0}}, {{2, 1.0}}};
   ASSERT_TRUE(eng->factorize(cols, {0, 1, 2}));
-  const std::vector<double> w = {1.0, 1e-12, 0.5};
+  const SparseVector w = sparse_of({1.0, 1e-12, 0.5});
   EXPECT_FALSE(eng->update(1, w));           // unstable leave row
   EXPECT_TRUE(eng->update(0, w));            // stable pivot absorbs fine
   EXPECT_EQ(eng->stats().eta_updates, 1u);
@@ -391,7 +410,7 @@ TEST(BasisEngineUnit, LuUpdateDeclinesWhenEtaFileFull) {
   auto eng = make_basis_engine(BasisEngineKind::kLu, 2, opts);
   std::vector<SparseColumn> cols = {{{0, 1.0}}, {{1, 1.0}}};
   ASSERT_TRUE(eng->factorize(cols, {0, 1}));
-  const std::vector<double> w = {1.0, 0.25};
+  const SparseVector w = sparse_of({1.0, 0.25});
   EXPECT_TRUE(eng->update(0, w));
   EXPECT_TRUE(eng->update(1, w));
   EXPECT_FALSE(eng->update(0, w));  // file full: caller must refactorize
@@ -451,11 +470,11 @@ TEST(BasisEngineUnit, FtranBtranMatchDenseOnRandomBases) {
     for (int i = 0; i < m; ++i) {
       if (rng() % 2) a.emplace_back(i, grid_nz(rng, -2, 2));
     }
-    std::vector<double> fd, fl;
+    SparseVector fd, fl;
     dense->ftran(a, fd);
     lu->ftran(a, fl);
     for (int i = 0; i < m; ++i) {
-      EXPECT_NEAR(fd[i], fl[i], 1e-8) << "t=" << t << " i=" << i;
+      EXPECT_NEAR(fd.val[i], fl.val[i], 1e-8) << "t=" << t << " i=" << i;
     }
 
     std::vector<double> yd(m), yl;
@@ -465,6 +484,188 @@ TEST(BasisEngineUnit, FtranBtranMatchDenseOnRandomBases) {
     lu->btran(yl);
     for (int i = 0; i < m; ++i) {
       EXPECT_NEAR(yd[i], yl[i], 1e-8) << "t=" << t << " i=" << i;
+    }
+  }
+}
+
+// ------------------------- engine unit: bit identity with the oracle
+
+namespace {
+
+/// Equal bit for bit once -0.0 is read as +0.0. The hypersparse solves
+/// leave entries they never touch at +0.0 where the dense sweep writes
+/// 0.0 / pivot = -0.0 for a negative pivot; the two zeros compare equal
+/// and no solver decision can tell them apart.
+bool same_bits(std::vector<double> a, std::vector<double> b) {
+  if (a.size() != b.size()) return false;
+  for (double& v : a) {
+    if (v == 0.0) v = 0.0;
+  }
+  for (double& v : b) {
+    if (v == 0.0) v = 0.0;
+  }
+  return std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0;
+}
+
+/// The SparseVector contract: idx strictly increasing and in range, and
+/// val exactly zero outside idx — so idx covers every nonzero.
+::testing::AssertionResult pattern_ok(const SparseVector& v) {
+  std::vector<char> listed(v.val.size(), 0);
+  for (std::size_t s = 0; s < v.idx.size(); ++s) {
+    const int i = v.idx[s];
+    if (i < 0 || static_cast<std::size_t>(i) >= v.val.size() ||
+        (s > 0 && v.idx[s - 1] >= i)) {
+      return ::testing::AssertionFailure() << "idx not increasing at " << s;
+    }
+    listed[i] = 1;
+  }
+  for (std::size_t i = 0; i < v.val.size(); ++i) {
+    if (v.val[i] != 0.0 && !listed[i]) {
+      return ::testing::AssertionFailure() << "nonzero " << i << " unlisted";
+    }
+  }
+  return ::testing::AssertionSuccess();
+}
+
+/// A random nonsingular sparse matrix in the partition ILP's image:
+/// unit slack columns, +-1-pivot columns, general columns, and one dense
+/// row (the budget row) that forces fill-in. Column j's dominant entry
+/// sits in row perm[j] and outweighs the rest of the column, so any m
+/// of these columns drawn with distinct perm rows are nonsingular.
+/// Values are not dyadic, so every reordered sum would show in the
+/// last bits. Columns m..2m-1 are entering candidates.
+std::vector<SparseColumn> oracle_columns(std::mt19937& rng, int m) {
+  std::uniform_real_distribution<double> off(-0.3, 0.3);
+  std::uniform_real_distribution<double> big(2.0, 4.0);
+  std::vector<int> perm(m);
+  for (int i = 0; i < m; ++i) perm[i] = i;
+  std::shuffle(perm.begin(), perm.end(), rng);
+  const int dense_row = static_cast<int>(rng() % m);
+  std::vector<SparseColumn> cols(2 * static_cast<std::size_t>(m));
+  for (int j = 0; j < 2 * m; ++j) {
+    const int home = perm[j % m];
+    SparseColumn& col = cols[j];
+    const int kind = static_cast<int>(rng() % 4);
+    if (kind == 0) {
+      col.emplace_back(home, 1.0);  // slack
+      continue;
+    }
+    const double sign = rng() % 2 ? 1.0 : -1.0;
+    col.emplace_back(home, kind == 1 ? sign : sign * big(rng));
+    // Off-diagonal mass stays below 1 (+-1 pivot) or 2 (general).
+    const int extra = kind == 1 ? 1 : static_cast<int>(rng() % 6);
+    for (int e = 0; e < extra; ++e) {
+      const int row = static_cast<int>(rng() % m);
+      const bool taken = std::any_of(col.begin(), col.end(),
+                                     [&](const auto& p) { return p.first == row; });
+      if (taken || row == dense_row) continue;
+      // Now and then a coefficient below the elimination drop tolerance.
+      col.emplace_back(row, rng() % 40 == 0 ? 1e-15 : off(rng));
+    }
+    if (home != dense_row) col.emplace_back(dense_row, off(rng) / 4.0);
+  }
+  return cols;
+}
+
+/// Runs every solve on both engines and compares them bit for bit.
+void expect_solves_match(const BasisEngine& lu, const testref::ReferenceLu& ref,
+                         int m, std::mt19937& rng, SparseVector& got,
+                         const std::string& where) {
+  std::uniform_real_distribution<double> val(-3.0, 3.0);
+  std::vector<double> want, x1, x2;
+  for (int rep = 0; rep < 3; ++rep) {
+    SparseColumn a;
+    for (int i = 0; i < m; ++i) {
+      if (rng() % (rep + 2) == 0) a.emplace_back(i, val(rng));
+    }
+    lu.ftran(a, got);
+    ref.ftran(a, want);
+    EXPECT_TRUE(same_bits(got.val, want)) << where << " ftran rep " << rep;
+    EXPECT_TRUE(pattern_ok(got)) << where << " ftran rep " << rep;
+  }
+  x1.assign(m, 0.0);
+  for (int i = 0; i < m; ++i) {
+    if (rng() % 2) x1[i] = val(rng);
+  }
+  x2 = x1;
+  lu.ftran_dense(x1);
+  ref.ftran_dense(x2);
+  EXPECT_TRUE(same_bits(x1, x2)) << where << " ftran_dense";
+  // BTRAN on a dense cost vector and on phase 1's sparse +-1 vector.
+  for (int sparse = 0; sparse < 2; ++sparse) {
+    x1.assign(m, 0.0);
+    for (int i = 0; i < m; ++i) {
+      if (sparse) {
+        if (rng() % 6 == 0) x1[i] = rng() % 2 ? 1.0 : -1.0;
+      } else {
+        x1[i] = val(rng);
+      }
+    }
+    x2 = x1;
+    lu.btran(x1);
+    ref.btran(x2);
+    EXPECT_TRUE(same_bits(x1, x2)) << where << " btran sparse=" << sparse;
+  }
+  const int r = static_cast<int>(rng() % m);
+  lu.btran_unit(r, x1);
+  ref.btran_unit(r, x2);
+  EXPECT_TRUE(same_bits(x1, x2)) << where << " btran_unit " << r;
+}
+
+}  // namespace
+
+TEST(BasisEngineUnit, LuSolvesBitIdenticalToDenseSweepReference) {
+  // The same factorization, the same eta file (every length from 0 to
+  // max_eta, then a refactorization and again), the same right-hand
+  // sides: the flat hypersparse engine must reproduce the dense-sweep
+  // reference (tests/lu_reference.hpp) exactly. This is what keeps the
+  // simplex walk — every pivot and every branch-and-bound node —
+  // unchanged by the engine's storage and loop structure.
+  std::mt19937 rng(2024);
+  const int trials = std::max(40, diff_trials() / 2);
+  for (int t = 0; t < trials; ++t) {
+    const int m = 3 + static_cast<int>(rng() % 46);
+    std::vector<SparseColumn> cols = oracle_columns(rng, m);
+    std::vector<int> basic(m), nonbasic(m);
+    for (int i = 0; i < m; ++i) {
+      basic[i] = i;
+      nonbasic[i] = m + i;
+    }
+    BasisEngineOptions opts;
+    opts.max_eta = 1 + rng() % 12;
+    auto lu = make_basis_engine(BasisEngineKind::kLu, m, opts);
+    testref::ReferenceLu ref(m, opts);
+    ASSERT_TRUE(lu->factorize(cols, basic)) << "t=" << t;
+    ASSERT_TRUE(ref.factorize(cols, basic)) << "t=" << t;
+
+    SparseVector got, w;
+    std::vector<double> w_ref;
+    for (std::size_t step = 0; step < 2 * opts.max_eta + 3; ++step) {
+      const std::string where = "t=" + std::to_string(t) +
+                                " m=" + std::to_string(m) +
+                                " eta=" + std::to_string(ref.eta_len());
+      expect_solves_match(*lu, ref, m, rng, got, where);
+      if (::testing::Test::HasFailure()) return;
+
+      // Pivot a nonbasic column in at its largest direction entry.
+      const std::size_t slot = rng() % nonbasic.size();
+      const int enter = nonbasic[slot];
+      lu->ftran(cols[enter], w);
+      ref.ftran(cols[enter], w_ref);
+      ASSERT_TRUE(same_bits(w.val, w_ref)) << where;
+      int leave = 0;
+      for (int i = 1; i < m; ++i) {
+        if (std::fabs(w_ref[i]) > std::fabs(w_ref[leave])) leave = i;
+      }
+      const bool absorbed = lu->update(leave, w);
+      ASSERT_EQ(absorbed, ref.update(leave, w_ref)) << where;
+      nonbasic[slot] = basic[leave];
+      basic[leave] = enter;
+      if (!absorbed) {  // eta file full: refactorize the new basis
+        const bool ok = lu->factorize(cols, basic);
+        ASSERT_EQ(ok, ref.factorize(cols, basic)) << where;
+        if (!ok) break;
+      }
     }
   }
 }
